@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"seedscan/internal/experiment/grid"
 	"seedscan/internal/proto"
 	"seedscan/internal/telemetry"
 )
@@ -37,7 +38,7 @@ func TestGridCancellationMidRun(t *testing.T) {
 	// them all.
 	started := 0
 	var mu sync.Mutex
-	err := runParallel(ctx, 1, len(gens), func(ctx context.Context, i int) error {
+	err := grid.RunParallel(ctx, 1, len(gens), func(ctx context.Context, i int) error {
 		mu.Lock()
 		started++
 		mu.Unlock()

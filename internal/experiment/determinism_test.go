@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"seedscan/internal/proto"
+	"seedscan/internal/tga/all"
 )
 
 // The whole pipeline must be reproducible: two environments with the same
@@ -34,6 +35,28 @@ func TestEndToEndDeterminism(t *testing.T) {
 	}
 	if f1 != f2 {
 		t.Error("RQ4 not reproducible")
+	}
+}
+
+// TestWidthEquivalence: the grid's fan-out width changes wall-clock time
+// only. Fig. 3 and Table 4 over all eight TGAs — concurrent cells sharing
+// space trees through the model cache — render identically serially and
+// four wide.
+func TestWidthEquivalence(t *testing.T) {
+	render := func(workers int) string {
+		e := NewEnv(EnvConfig{NumASes: 70, CollectScale: 0.2, Budget: 1000, Workers: workers})
+		fig3, err := e.RunRQ1a([]proto.Protocol{proto.ICMP}, all.Names, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t4, err := e.RunTable4(all.Names, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fig3.Render() + fig3.RenderFigure() + t4.Render()
+	}
+	if serial, wide := render(1), render(4); serial != wide {
+		t.Fatalf("Workers 1 and 4 differ:\n%s\n---\n%s", serial, wide)
 	}
 }
 

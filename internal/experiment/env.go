@@ -67,8 +67,8 @@ type EnvConfig struct {
 	// whose chain alters results must use a fresh GridStore, or stale
 	// checkpoints from an unfaulted run will be replayed as-is.
 	Chain []wire.Middleware
-	// Workers overrides the experiment fan-out width (default: NumCPU-1,
-	// capped at 8). Deterministic outcomes do not depend on it.
+	// Workers overrides the experiment fan-out width (default:
+	// grid.DefaultWorkers). Deterministic outcomes do not depend on it.
 	Workers int
 	// GridStore checkpoints completed grid cells, letting an interrupted
 	// run resume with byte-identical results. Nil keeps checkpoints

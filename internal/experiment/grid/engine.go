@@ -17,8 +17,7 @@ type Config struct {
 	// engine still memoizes completed cells in-process, which is what
 	// deduplicates cells across specs).
 	Store Store
-	// Workers bounds the cell fan-out (default: NumCPU-1, capped at 8 —
-	// the experiment grid's historical width).
+	// Workers bounds the cell fan-out (default: DefaultWorkers).
 	Workers int
 	// Telemetry receives grid.cells.* counters and per-spec progress
 	// events; nil gets a silent tracer.
@@ -49,19 +48,19 @@ type Engine struct {
 	flights map[string]*flight
 }
 
+// DefaultWorkers is the default cell fan-out: GOMAXPROCS, capped at 8.
+// Cells are CPU-bound TGA runs, so every usable CPU takes one.
+func DefaultWorkers() int {
+	return min(runtime.GOMAXPROCS(0), 8)
+}
+
 // NewEngine builds an engine. Config.Exec is required.
 func NewEngine(cfg Config) *Engine {
 	if cfg.Exec == nil {
 		panic("grid: NewEngine requires Config.Exec")
 	}
 	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.NumCPU() - 1
-		if cfg.Workers < 1 {
-			cfg.Workers = 1
-		}
-		if cfg.Workers > 8 {
-			cfg.Workers = 8
-		}
+		cfg.Workers = DefaultWorkers()
 	}
 	tr := cfg.Telemetry
 	if tr == nil {

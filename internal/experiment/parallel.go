@@ -1,11 +1,6 @@
 package experiment
 
-import (
-	"context"
-	"runtime"
-
-	"seedscan/internal/experiment/grid"
-)
+import "seedscan/internal/experiment/grid"
 
 // Experiment grids run many independent TGA runs; each run is
 // deterministic in isolation (its own generator, deterministic scanning
@@ -16,24 +11,10 @@ import (
 // harnesses fan out without resolving seed lists first.
 
 // Workers returns the experiment fan-out width: EnvConfig.Workers if
-// set, else NumCPU-1 capped at 8.
+// set, else grid.DefaultWorkers.
 func (e *Env) Workers() int {
 	if e.Cfg.Workers > 0 {
 		return e.Cfg.Workers
 	}
-	w := runtime.NumCPU() - 1
-	if w < 1 {
-		w = 1
-	}
-	if w > 8 {
-		w = 8
-	}
-	return w
-}
-
-// runParallel executes fn(0..n-1) on up to `workers` goroutines and
-// returns the first error; see grid.RunParallel, whose semantics it
-// shares (the implementation moved there with the grid engine).
-func runParallel(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
-	return grid.RunParallel(ctx, workers, n, fn)
+	return grid.DefaultWorkers()
 }

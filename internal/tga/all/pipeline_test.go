@@ -178,3 +178,63 @@ func (p *cancelAfterProber) Scan(ts []ipaddr.Addr, pr proto.Protocol) []scanner.
 func (p *cancelAfterProber) ScanActive(ts []ipaddr.Addr, pr proto.Protocol) []ipaddr.Addr {
 	return p.inner.ScanActive(ts, pr)
 }
+
+// TestSharedTreeAdoptionMatchesOwnInit: 6Scan and 6Hit adopting the
+// leftmost tree 6Tree mined (one build, two cache hits) run exactly as
+// they do from their own Init, through online feedback and 6Hit's tree
+// rebuilds (every 16 rounds; 3000/128 gives 24).
+func TestSharedTreeAdoptionMatchesOwnInit(t *testing.T) {
+	_, sc, seeds := setup(t)
+	cache := modelcache.New()
+	reg := telemetry.NewRegistry()
+	cache.SetTelemetry(reg)
+	own := tga.RunConfig{
+		Budget: 3000, BatchSize: 128, Proto: proto.ICMP,
+		Prober: sc, ExcludeSeeds: true,
+	}
+	shared := own
+	shared.Models = cache
+	if _, err := tga.Run(all.MustNew("6Tree"), seeds, shared); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"6Scan", "6Hit"} {
+		want, err := tga.Run(all.MustNew(name), seeds, own)
+		if err != nil {
+			t.Fatalf("%s own Init: %v", name, err)
+		}
+		got, err := tga.Run(all.MustNew(name), seeds, shared)
+		if err != nil {
+			t.Fatalf("%s adopted: %v", name, err)
+		}
+		runResultsEqual(t, name, want, got)
+	}
+	if misses := reg.Counter("tga.modelcache.misses").Load(); misses != 1 {
+		t.Errorf("misses = %d, want 1 (one leftmost tree)", misses)
+	}
+	if hits := reg.Counter("tga.modelcache.hits").Load(); hits != 2 {
+		t.Errorf("hits = %d, want 2", hits)
+	}
+}
+
+// TestTreeTGAsIgnoreDuplicateSeeds: the space tree is mined over the
+// deduplicated seeds, so 6Tree and 6Scan run on a seed list with
+// duplicates exactly as on the deduplicated list.
+func TestTreeTGAsIgnoreDuplicateSeeds(t *testing.T) {
+	_, sc, seeds := setup(t)
+	dups := append(append([]ipaddr.Addr(nil), seeds...), seeds[:len(seeds)/3]...)
+	cfg := tga.RunConfig{
+		Budget: 2000, BatchSize: 256, Proto: proto.ICMP,
+		Prober: sc, ExcludeSeeds: true,
+	}
+	for _, name := range []string{"6Tree", "6Scan"} {
+		want, err := tga.Run(all.MustNew(name), seeds, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := tga.Run(all.MustNew(name), dups, cfg)
+		if err != nil {
+			t.Fatalf("%s with duplicates: %v", name, err)
+		}
+		runResultsEqual(t, name, want, got)
+	}
+}

@@ -53,21 +53,19 @@ func (g *Generator) minLeaf() int {
 	return g.MinLeaf
 }
 
-// ModelParams implements tga.ModelBuilder. Only MinLeaf shapes the initial
-// tree; RebuildEvery and Explore steer the online search and are excluded.
-func (g *Generator) ModelParams() string {
-	return fmt.Sprintf("minleaf=%d", g.minLeaf())
-}
+// ModelParams implements tga.ModelBuilder: the min-entropy space tree.
+// Only MinLeaf shapes the initial tree; RebuildEvery and Explore steer the
+// online search and are excluded.
+func (g *Generator) ModelParams() string { return tga.MinEntropyTree.Params(g.minLeaf()) }
 
 // BuildModel implements tga.ModelBuilder: the initial min-entropy space
-// tree over the (deduplicated) seeds. Online rebuilds fold hits in and are
+// tree over the deduplicated seeds. Online rebuilds fold hits in and are
 // per-run state, so only this first tree is cacheable.
 func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 	if len(seeds) == 0 {
 		return nil, errors.New("det: empty seed set")
 	}
-	uniq := ipaddr.DedupSorted(seeds)
-	return tga.SnapshotTree(tga.BuildTreeAuto(uniq, g.minLeaf(), tga.SplitMinEntropy)), nil
+	return tga.MinEntropyTree.Mine(seeds, g.minLeaf()), nil
 }
 
 // InitFromModel implements tga.ModelBuilder.

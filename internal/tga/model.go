@@ -2,6 +2,7 @@ package tga
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 
@@ -30,10 +31,14 @@ type Model any
 // equivalent to BuildModel followed by InitFromModel.
 type ModelBuilder interface {
 	Generator
-	// ModelParams canonically encodes every parameter that shapes the
-	// mined model (clustering radius, entropy threshold, leaf size...).
-	// Runtime-only knobs — sampling seeds, exploration shares — are
-	// excluded: they do not change what BuildModel produces.
+	// ModelParams is the mined model's full identity: builders with equal
+	// ModelParams must mine equal models from equal seeds, which lets
+	// different generators share one model. It canonically encodes the
+	// model kind (the generator's own name, or a shared kind such as
+	// SpaceTree's) and every parameter that shapes the model (clustering
+	// radius, entropy threshold, leaf size...). Runtime-only knobs —
+	// sampling seeds, exploration shares — are excluded: they do not
+	// change what BuildModel produces.
 	ModelParams() string
 	// BuildModel mines the seed model. Seeds must be in canonical sorted
 	// order (Generator.Init's contract).
@@ -158,3 +163,31 @@ func (m *TreeModel) Leaves() []*TreeNode {
 
 // LeafCount reports the number of leaves.
 func (m *TreeModel) LeafCount() int { return len(m.LeafModels) }
+
+// SpaceTree is a space-tree model kind: a split heuristic and its name.
+// The pure tree TGAs (6Tree, 6Scan and 6Hit on the leftmost tree, DET on
+// the min-entropy tree) mine their model only through it, so they share
+// one model per (seeds, minLeaf, heuristic).
+type SpaceTree struct {
+	name  string
+	split SplitHeuristic
+}
+
+var (
+	// LeftmostTree is 6Tree's space tree, split on the most significant
+	// varying nybble.
+	LeftmostTree = SpaceTree{"leftmost", SplitLeftmost}
+	// MinEntropyTree is DET's space tree, split at minimum entropy.
+	MinEntropyTree = SpaceTree{"minentropy", SplitMinEntropy}
+)
+
+// Params is the ModelParams of the tree with leaves of minLeaf seeds.
+func (t SpaceTree) Params(minLeaf int) string {
+	return fmt.Sprintf("spacetree/%s/minleaf=%d", t.name, minLeaf)
+}
+
+// Mine builds the tree over the deduplicated canonical seeds and
+// snapshots it.
+func (t SpaceTree) Mine(seeds []ipaddr.Addr, minLeaf int) *TreeModel {
+	return SnapshotTree(BuildTreeAuto(ipaddr.DedupSorted(seeds), minLeaf, t.split))
+}

@@ -1,13 +1,16 @@
 // Package modelcache provides the cross-run TGA model cache: mined seed
 // models (6Gen's clustering, Entropy/IP's segment tables, the tree TGAs'
-// space trees, 6Sense's arms) keyed by (generator name, model params, seed
-// digest) so grid cells that share a seed treatment reuse the model across
-// protocols instead of re-mining it per cell.
+// space trees, 6Sense's arms) keyed by (model params, seed digest) so grid
+// cells that share a seed treatment reuse the model across protocols
+// instead of re-mining it per cell.
 //
 // What is safe to reuse: the model is a pure function of the canonical
-// seed list and the generator's model-shaping parameters, so any two runs
-// with the same key — across protocols, probers, budgets, or dealiasers —
-// share it. What is not: anything fed by scan results (online rebuilds,
+// seed list and ModelParams, which is the model's full identity (see
+// tga.ModelBuilder), so any two runs with the same key — across
+// protocols, probers, budgets, dealiasers, or generators — share it. The
+// pure tree TGAs report a shared tga.SpaceTree kind, so 6Tree, 6Scan and
+// 6Hit over one treatment mine a single leftmost tree; every other
+// builder's ModelParams starts with its own name. What is not: anything fed by scan results (online rebuilds,
 // reward state) is per-run state that ModelBuilder.InitFromModel creates
 // fresh, and generators whose effective seed set includes mutable state
 // (AddrMiner's long-term memory) don't implement ModelBuilder at all.
@@ -25,8 +28,7 @@ import (
 
 // key identifies one mined model.
 type key struct {
-	name   string // generator name
-	params string // ModelParams: every model-shaping knob, canonical form
+	params string // ModelParams: model kind and every model-shaping knob
 	count  int    // seed count (cheap digest-collision guard)
 	digest uint64 // order-sensitive digest of the canonical seed list
 }
@@ -68,7 +70,7 @@ func (c *Cache) Len() int {
 }
 
 // GetOrBuild implements tga.ModelSource: it returns the cached model for
-// (g, seeds), mining it on the first request. Concurrent requests for the
+// (g.ModelParams(), seeds), mining it with g on the first request. Concurrent requests for the
 // same key mine once — later requesters block until the first build
 // finishes (or ctx is done). Seeds must be in canonical sorted order; the
 // digest is order-sensitive by design, so a non-canonical order would
@@ -77,7 +79,6 @@ func (c *Cache) Len() int {
 // cleared so a later request may retry.
 func (c *Cache) GetOrBuild(ctx context.Context, g tga.ModelBuilder, seeds []ipaddr.Addr) (tga.Model, error) {
 	k := key{
-		name:   g.Name(),
 		params: g.ModelParams(),
 		count:  len(seeds),
 		digest: ipaddr.Digest(seeds),

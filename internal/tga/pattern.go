@@ -120,9 +120,14 @@ func (e *maskEnum) current() ipaddr.Addr {
 // adjacent value at a time to the most promising positions, enumerating
 // exactly the new combinations each widening unlocks. It never emits the
 // same address twice.
+//
+// A LeafGen is lazy: construction only records the masks and widen order,
+// and the first Next builds the enumerator. Space trees hold one LeafGen
+// per leaf, and a small budget reaches few of them.
 type LeafGen struct {
-	masks [ipaddr.NybbleCount]ValueMask // current allowed values
-	jobs  []*maskEnum
+	masks   [ipaddr.NybbleCount]ValueMask // current allowed values
+	jobs    []*maskEnum
+	started bool
 	// widen state
 	widenPos []int // positions in widening preference order
 	nextW    int
@@ -133,33 +138,40 @@ type LeafGen struct {
 // nil allows IID positions 31..16 that were variable, then fixed IID
 // positions, a sensible default for tree leaves.
 func NewLeafGen(masks [ipaddr.NybbleCount]ValueMask, widenOrder []int) *LeafGen {
-	g := &LeafGen{masks: masks}
+	return &LeafGen{masks: masks, widenPos: widenOrder}
+}
+
+// start queues the observed-value product and resolves the default widen
+// order.
+func (g *LeafGen) start() {
+	g.started = true
 	var values [ipaddr.NybbleCount][]byte
-	for i, m := range masks {
+	for i, m := range g.masks {
 		values[i] = MaskValues(m)
 	}
 	g.jobs = append(g.jobs, newMaskEnum(values))
-	if widenOrder == nil {
+	if g.widenPos == nil {
 		// Variable IID positions first (least significant first), then
 		// fixed IID positions.
 		for i := ipaddr.NybbleCount - 1; i >= 16; i-- {
-			if bits.OnesCount16(masks[i]) > 1 {
-				widenOrder = append(widenOrder, i)
+			if bits.OnesCount16(g.masks[i]) > 1 {
+				g.widenPos = append(g.widenPos, i)
 			}
 		}
 		for i := ipaddr.NybbleCount - 1; i >= 16; i-- {
-			if bits.OnesCount16(masks[i]) == 1 {
-				widenOrder = append(widenOrder, i)
+			if bits.OnesCount16(g.masks[i]) == 1 {
+				g.widenPos = append(g.widenPos, i)
 			}
 		}
 	}
-	g.widenPos = widenOrder
-	return g
 }
 
 // Next returns the next fresh candidate, or false when the region cannot
 // produce more (fully widened and enumerated).
 func (g *LeafGen) Next() (ipaddr.Addr, bool) {
+	if !g.started {
+		g.start()
+	}
 	for {
 		for len(g.jobs) > 0 {
 			job := g.jobs[0]

@@ -129,3 +129,60 @@ func TestMaskValuesOrdered(t *testing.T) {
 		t.Fatal("empty mask values")
 	}
 }
+
+// TestLeafGenFrozenSequence pins LeafGen's emitted order on a small
+// pattern: the observed product, then widening, through both the default
+// and a custom widen order (the latter runs to exhaustion).
+func TestLeafGenFrozenSequence(t *testing.T) {
+	masks := ObservedMasks(seedsFrom("2001:db8::1", "2001:db8::12"))
+	cases := []struct {
+		order  []int
+		n      int
+		digest uint64
+		head   []string
+	}{
+		{nil, 1000, 0x777df22fcde172cb, []string{
+			"2001:db8::1", "2001:db8::2", "2001:db8::11", "2001:db8::12",
+			"2001:db8::", "2001:db8::10", "2001:db8::20", "2001:db8::21",
+			"2001:db8::22", "2001:db8::100", "2001:db8::101", "2001:db8::102",
+		}},
+		{[]int{28, 31}, 512, 0x2e8159c371da6afd, []string{
+			"2001:db8::1", "2001:db8::2", "2001:db8::11", "2001:db8::12",
+			"2001:db8::1001", "2001:db8::1002", "2001:db8::1011", "2001:db8::1012",
+			"2001:db8::", "2001:db8::10", "2001:db8::1000", "2001:db8::1010",
+		}},
+	}
+	for _, c := range cases {
+		g := NewLeafGen(masks, c.order)
+		var got []ipaddr.Addr
+		for len(got) < 1000 {
+			a, ok := g.Next()
+			if !ok {
+				break
+			}
+			got = append(got, a)
+		}
+		for i, want := range c.head {
+			if got[i].String() != want {
+				t.Fatalf("order %v: address %d = %v, want %s", c.order, i, got[i], want)
+			}
+		}
+		if len(got) != c.n || ipaddr.Digest(got) != c.digest {
+			t.Fatalf("order %v: %d addresses, digest %#x; want %d, %#x", c.order, len(got), ipaddr.Digest(got), c.n, c.digest)
+		}
+	}
+}
+
+// TestNewLeafGenIsLazy: construction allocates only the generator; the
+// enumerator is built by the first Next.
+func TestNewLeafGenIsLazy(t *testing.T) {
+	masks := ObservedMasks(seedsFrom("2001:db8::1", "2001:db8::12", "2001:db8:0:1::5"))
+	var g *LeafGen
+	allocs := testing.AllocsPerRun(100, func() { g = NewLeafGen(masks, nil) })
+	if allocs > 1 {
+		t.Fatalf("NewLeafGen allocates %.0f times, want at most 1", allocs)
+	}
+	if _, ok := g.Next(); !ok {
+		t.Fatal("lazy LeafGen produced nothing")
+	}
+}

@@ -78,7 +78,7 @@ func (g *Generator) maxClusters() int {
 
 // ModelParams implements tga.ModelBuilder.
 func (g *Generator) ModelParams() string {
-	return fmt.Sprintf("radius=%d,maxclusters=%d", g.radius(), g.maxClusters())
+	return fmt.Sprintf("6Gen/radius=%d,maxclusters=%d", g.radius(), g.maxClusters())
 }
 
 // clusterRun greedily clusters one prefix's seeds (given by index, all

@@ -33,7 +33,12 @@ type Generator struct {
 type cluster struct {
 	masks [ipaddr.NybbleCount]tga.ValueMask
 	seeds int
-	gen   *tga.LeafGen
+	// weight is the scheduling weight 1+log2(seeds+1): logarithmic
+	// weighting visits every pattern near-uniformly with a mild bias to
+	// seed-rich ones; breadth across patterns is what gives 6Graph its AS
+	// diversity.
+	weight float64
+	gen    *tga.LeafGen
 }
 
 // bucketPositions is how many leading nybble positions must match exactly
@@ -77,7 +82,7 @@ func (g *Generator) mergeDistance() int {
 
 // ModelParams implements tga.ModelBuilder.
 func (g *Generator) ModelParams() string {
-	return fmt.Sprintf("minleaf=%d,mergedist=%d", g.minLeaf(), g.mergeDistance())
+	return fmt.Sprintf("6Graph/minleaf=%d,mergedist=%d", g.minLeaf(), g.mergeDistance())
 }
 
 // BuildModel implements tga.ModelBuilder: the entropy tree (built across
@@ -162,9 +167,10 @@ func (g *Generator) InitFromModel(m tga.Model, seeds []ipaddr.Addr) error {
 	g.clusters = make([]*cluster, len(mm.Clusters))
 	for i, cm := range mm.Clusters {
 		g.clusters[i] = &cluster{
-			masks: cm.Masks,
-			seeds: cm.Seeds,
-			gen:   tga.NewLeafGen(cm.Masks, nil),
+			masks:  cm.Masks,
+			seeds:  cm.Seeds,
+			weight: 1 + math.Log2(float64(cm.Seeds)+1),
+			gen:    tga.NewLeafGen(cm.Masks, nil),
 		}
 	}
 	g.produced = make([]int, len(g.clusters))
@@ -201,10 +207,7 @@ func (g *Generator) NextBatch(n int) []ipaddr.Addr {
 			if c.gen == nil {
 				continue
 			}
-			// Logarithmic weighting visits every pattern near-uniformly
-			// with a mild bias to seed-rich ones; breadth across patterns
-			// is what gives 6Graph its AS diversity.
-			score := (1 + math.Log2(float64(c.seeds)+1)) / float64(g.produced[i]+1)
+			score := c.weight / float64(g.produced[i]+1)
 			if score > bestScore {
 				best, bestScore = i, score
 			}

@@ -60,22 +60,20 @@ func (g *Generator) minLeaf() int {
 	return g.MinLeaf
 }
 
-// ModelParams implements tga.ModelBuilder. Only MinLeaf shapes the initial
-// tree; the bandit knobs (Epsilon, Alpha, RebuildEvery, Seed) steer the
-// online search and are excluded.
-func (g *Generator) ModelParams() string {
-	return fmt.Sprintf("minleaf=%d", g.minLeaf())
-}
+// ModelParams implements tga.ModelBuilder: the leftmost space tree, shared
+// with 6Tree and 6Scan. Only MinLeaf shapes the initial tree; the bandit
+// knobs (Epsilon, Alpha, RebuildEvery, Seed) steer the online search and
+// are excluded.
+func (g *Generator) ModelParams() string { return tga.LeftmostTree.Params(g.minLeaf()) }
 
 // BuildModel implements tga.ModelBuilder: the initial 6Tree-style space
-// tree over the (deduplicated) seeds. Later rebuilds fold hits in and stay
+// tree over the deduplicated seeds. Later rebuilds fold hits in and stay
 // per-run.
 func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 	if len(seeds) == 0 {
 		return nil, errors.New("sixhit: empty seed set")
 	}
-	uniq := ipaddr.DedupSorted(seeds)
-	return tga.SnapshotTree(tga.BuildTreeAuto(uniq, g.minLeaf(), tga.SplitLeftmost)), nil
+	return tga.LeftmostTree.Mine(seeds, g.minLeaf()), nil
 }
 
 // InitFromModel implements tga.ModelBuilder.

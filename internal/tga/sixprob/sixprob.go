@@ -120,7 +120,7 @@ func (g *Generator) Online() bool { return false }
 // ModelParams implements tga.ModelBuilder. The trie is a pure function of
 // the seeds — every generation knob is runtime-only — so the encoding
 // carries only a format version.
-func (g *Generator) ModelParams() string { return "v=1" }
+func (g *Generator) ModelParams() string { return "6Prob/v=1" }
 
 // BuildModel implements tga.ModelBuilder: it mines the counted trie and
 // the global value frequencies. Input is canonicalized first — the trie's

@@ -49,19 +49,19 @@ func (g *Generator) minLeaf() int {
 	return g.MinLeaf
 }
 
-// ModelParams implements tga.ModelBuilder. TopShare only steers the online
-// allocation and is excluded.
-func (g *Generator) ModelParams() string {
-	return fmt.Sprintf("minleaf=%d", g.minLeaf())
-}
+// ModelParams implements tga.ModelBuilder: the leftmost space tree, shared
+// with 6Tree and 6Hit. TopShare only steers the online allocation and is
+// excluded.
+func (g *Generator) ModelParams() string { return tga.LeftmostTree.Params(g.minLeaf()) }
 
-// BuildModel implements tga.ModelBuilder: the 6Tree-style space tree.
-// 6Scan never rebuilds, so the whole tree is cacheable.
+// BuildModel implements tga.ModelBuilder: the 6Tree-style space tree over
+// the deduplicated seeds. 6Scan never rebuilds, so the whole tree is
+// cacheable.
 func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 	if len(seeds) == 0 {
 		return nil, errors.New("sixscan: empty seed set")
 	}
-	return tga.SnapshotTree(tga.BuildTreeAuto(seeds, g.minLeaf(), tga.SplitLeftmost)), nil
+	return tga.LeftmostTree.Mine(seeds, g.minLeaf()), nil
 }
 
 // InitFromModel implements tga.ModelBuilder.

@@ -145,7 +145,7 @@ func (m *Model) ArmCount() int { return len(m.arms) }
 // ModelParams implements tga.ModelBuilder. The arm granularity and Markov
 // structure are fixed; ASShare and Seed only steer the online search and
 // sampling, so no parameter shapes the mined model.
-func (g *Generator) ModelParams() string { return "" }
+func (g *Generator) ModelParams() string { return "6Sense" }
 
 // BuildModel implements tga.ModelBuilder: it groups seeds into /32 arms
 // and trains each arm's Markov model over its own seeds. Arms are

@@ -45,18 +45,18 @@ func (g *Generator) minLeaf() int {
 	return g.MinLeaf
 }
 
-// ModelParams implements tga.ModelBuilder.
-func (g *Generator) ModelParams() string {
-	return fmt.Sprintf("minleaf=%d", g.minLeaf())
-}
+// ModelParams implements tga.ModelBuilder: the leftmost space tree, shared
+// with 6Scan and 6Hit.
+func (g *Generator) ModelParams() string { return tga.LeftmostTree.Params(g.minLeaf()) }
 
-// BuildModel implements tga.ModelBuilder: it mines the space tree, fanning
-// subtree construction across CPUs on large seed sets.
+// BuildModel implements tga.ModelBuilder: it mines the space tree over the
+// deduplicated seeds, fanning subtree construction across CPUs on large
+// seed sets.
 func (g *Generator) BuildModel(seeds []ipaddr.Addr) (tga.Model, error) {
 	if len(seeds) == 0 {
 		return nil, errors.New("sixtree: empty seed set")
 	}
-	return tga.SnapshotTree(tga.BuildTreeAuto(seeds, g.minLeaf(), tga.SplitLeftmost)), nil
+	return tga.LeftmostTree.Mine(seeds, g.minLeaf()), nil
 }
 
 // InitFromModel implements tga.ModelBuilder: it adopts a mined tree and
