@@ -25,9 +25,9 @@ import (
 
 	"seedscan/internal/cluster"
 	"seedscan/internal/ipaddr"
+	"seedscan/internal/probe"
 	"seedscan/internal/proto"
 	"seedscan/internal/scanner"
-	"seedscan/internal/wire"
 )
 
 // clusterBenchTargets × 3 attempts is the per-run packet count.
@@ -51,14 +51,9 @@ func newPacedLink(pps int) *pacedLink {
 	return &pacedLink{gap: time.Second / time.Duration(pps)}
 }
 
-func (l *pacedLink) Exchange(pkt []byte) [][]byte {
-	l.sleepFor(1)
-	return nil
-}
-
-func (l *pacedLink) ExchangeBatch(pkts [][]byte) [][][]byte {
+func (l *pacedLink) ExchangeBatchInto(pkts [][]byte, rb *probe.ReplyBuf) {
 	l.sleepFor(len(pkts))
-	return make([][][]byte, len(pkts))
+	rb.Reset(len(pkts))
 }
 
 func (l *pacedLink) sleepFor(pkts int) {
@@ -79,7 +74,7 @@ func pacedPool(n int) *cluster.Pool {
 	cfg := cluster.Config{Secret: 7, ShardSize: 1024}
 	workers := make([]cluster.Worker, n)
 	for i := range workers {
-		s := scanner.New(wire.Promote(newPacedLink(pacedLinkPPS)),
+		s := scanner.New(newPacedLink(pacedLinkPPS),
 			scanner.WithSecret(7))
 		workers[i] = cluster.NewLocalWorker(fmt.Sprintf("w%d", i), s)
 	}

@@ -14,6 +14,7 @@ package seedscan
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -75,7 +76,7 @@ func serveBenchWorld(t testing.TB) (*httptest.Server, *hitlistdb.Store, string) 
 	for _, src := range seeds.AllSources {
 		inputs = append(inputs, srcs[src])
 	}
-	snap, err := svc.Build(inputs...)
+	snap, err := svc.BuildContext(context.Background(), inputs...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@
 package seedscan
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -65,7 +66,7 @@ func runTGAGrid(tb testing.TB, sc *scanner.Scanner, seeds []ipaddr.Addr,
 			if cache != nil {
 				cfg.Models = cache
 			}
-			res, err := tga.Run(all.MustNew(name), seeds, cfg)
+			res, err := tga.RunContext(context.Background(), all.MustNew(name), seeds, cfg)
 			if err != nil {
 				tb.Fatalf("%s/%s: %v", name, p, err)
 			}

@@ -3,9 +3,9 @@
 // The legacy rows re-create the pre-refactor world shape — one boxed
 // Trie.Lookup over every region per packet, parse-before-route with a
 // fresh checksum scratch copy, per-reply allocations, and the allocating
-// [][][]byte batch wrapper — so the speedup of the flat LPM spine plus the
-// arena reply path stays measurable (and regenerable) after the old code
-// is gone. The scaling grid drives lazily-materialized worlds of growing
+// [][][]byte batch copied into the arena afterwards — so the speedup of
+// the flat LPM spine plus the arena reply path stays measurable (and
+// regenerable) after the old code is gone. The scaling grid drives lazily-materialized worlds of growing
 // SizeScale through the multi-worker cluster path.
 //
 // `make bench-world` regenerates BENCH_world.json from these measurements;
@@ -48,7 +48,8 @@ func routedTargets(w *world.World) []ipaddr.Addr {
 // current responder: a boxed any-valued Trie routes every packet across
 // all regions of the world, parsing pays a fresh checksum scratch copy,
 // and each reply set comes back through freshly allocated slices — one
-// [][]byte per packet inside an allocated [][][]byte batch.
+// [][]byte per packet inside an allocated [][][]byte batch, copied into
+// the caller's arena afterwards.
 type legacyWorldLink struct {
 	w    *world.World
 	trie *ipaddr.Trie
@@ -62,7 +63,9 @@ func newLegacyWorldLink(w *world.World) *legacyWorldLink {
 	return &legacyWorldLink{w: w, trie: t}
 }
 
-func (l *legacyWorldLink) Exchange(pkt []byte) [][]byte {
+// exchange answers one packet through a fresh single-packet reply buffer.
+// one is the caller's reusable one-element batch.
+func (l *legacyWorldLink) exchange(one [][]byte, pkt []byte) [][]byte {
 	if len(pkt) < probe.IPv6HeaderLen {
 		return nil
 	}
@@ -76,18 +79,32 @@ func (l *legacyWorldLink) Exchange(pkt []byte) [][]byte {
 	if v, ok := l.trie.Lookup(dst); ok {
 		_ = v.(*world.Region)
 	}
-	return l.w.HandlePacket(pkt)
+	one[0] = pkt
+	rb := new(probe.ReplyBuf)
+	l.w.HandleBatch(one, rb)
+	if r := rb.Reply(0); r != nil {
+		return [][]byte{r}
+	}
+	return nil
 }
 
-// ExchangeBatch is the old allocating batch wrapper, so the scanner's
-// batched dispatch stays identical across the legacy and current rows and
-// the measured delta is the world reply path alone.
-func (l *legacyWorldLink) ExchangeBatch(pkts [][]byte) [][][]byte {
+// ExchangeBatchInto keeps the old allocating batch shape — a fresh
+// [][][]byte of per-packet reply sets — and then copies the first reply
+// per packet into rb, so the scanner's batched dispatch stays identical
+// across the legacy and current rows and the measured delta is the world
+// reply path alone.
+func (l *legacyWorldLink) ExchangeBatchInto(pkts [][]byte, rb *probe.ReplyBuf) {
+	one := make([][]byte, 1)
 	replies := make([][][]byte, len(pkts))
 	for i, pkt := range pkts {
-		replies[i] = l.Exchange(pkt)
+		replies[i] = l.exchange(one, pkt)
 	}
-	return replies
+	rb.Reset(len(pkts))
+	for i, rs := range replies {
+		if len(rs) > 0 {
+			rb.PutRaw(i, rs[0])
+		}
+	}
 }
 
 // BenchmarkWorldReplyPath measures the world's packet-answering throughput
@@ -108,9 +125,9 @@ func BenchmarkWorldReplyPath(b *testing.B) {
 			report(b, 3*len(targets))
 		})
 	}
-	run("unrouted-legacy", wire.Promote(newLegacyWorldLink(w)), silentTargets())
+	run("unrouted-legacy", newLegacyWorldLink(w), silentTargets())
 	run("unrouted-batched", w.Link(), silentTargets())
-	run("routed-legacy", wire.Promote(newLegacyWorldLink(w)), routedTargets(w))
+	run("routed-legacy", newLegacyWorldLink(w), routedTargets(w))
 	run("routed-batched", w.Link(), routedTargets(w))
 }
 
@@ -190,9 +207,9 @@ func TestWriteWorldBenchBaseline(t *testing.T) {
 		ScanBaselinePktsPerSec: scanBaselinePktsPerSec,
 	}
 	out.Results = append(out.Results,
-		measure("unrouted-legacy", silent, wire.Promote(newLegacyWorldLink(w))),
+		measure("unrouted-legacy", silent, newLegacyWorldLink(w)),
 		measure("unrouted-batched", silent, w.Link()),
-		measure("routed-legacy", routed, wire.Promote(newLegacyWorldLink(w))),
+		measure("routed-legacy", routed, newLegacyWorldLink(w)),
 		measure("routed-batched", routed, w.Link()),
 	)
 	legacy, batched := out.Results[0], out.Results[1]

@@ -12,14 +12,15 @@
 // comma-separated list.
 //
 // where LIST is a comma-separated subset of:
-// table1,table3,table4,table5,table6,fig1,fig2,fig3,fig4,fig5,fig6,fig7,
-// raw,rq5,rq5time,raw912,ablation (default: all except raw912 and
-// ablation, which run only when named). rq5time is the longitudinal
-// metrics-over-time table: a multi-epoch daemon run reporting seed decay,
-// TGA hit persistence, and alias-set drift. -only is -run under its grid-era name and takes
-// precedence. -resume DIR checkpoints every completed grid cell to
-// DIR/cells.jsonl and resumes from it on restart; -list-cells prints the
-// deduplicated cell plan for the selection and exits without scanning.
+// table1,table3,table4,table5,table6,table7,fig1,fig2,fig3,fig4,fig5,fig6,
+// fig7,raw,rq5,rq5time,raw912,ablation (default: all except raw912 and
+// ablation, which run only when named). An unknown id exits 2. rq5time is
+// the longitudinal metrics-over-time table: a multi-epoch daemon run
+// reporting seed decay, TGA hit persistence, and alias-set drift. -only is
+// -run under its grid-era name and takes precedence. -resume DIR
+// checkpoints every completed grid cell to DIR/cells.jsonl and resumes
+// from it on restart; -list-cells prints the deduplicated cell plan for
+// the selection and exits without scanning.
 package main
 
 import (
@@ -29,6 +30,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -59,9 +61,10 @@ func main() {
 	if *only != "" {
 		*runList = *only
 	}
-	want := map[string]bool{}
-	for _, r := range strings.Split(*runList, ",") {
-		want[strings.TrimSpace(r)] = true
+	want, err := parseRunList(*runList)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
 	}
 	sel := func(name string) bool {
 		if name == "raw912" || name == "ablation" {
@@ -337,6 +340,36 @@ func printCellPlan(env *experiment.Env, sel func(string) bool,
 		fmt.Printf(", %d already checkpointed (*)", resumed)
 	}
 	fmt.Printf("\nfingerprint: %s\n", fp)
+}
+
+// experimentIDs lists every id -run and -only accept: "all" plus one id
+// per experiment the run loop selects.
+var experimentIDs = []string{
+	"all", "table1", "table3", "table4", "table5", "table6", "table7",
+	"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
+	"raw", "rq5", "rq5time", "raw912", "ablation",
+}
+
+// parseRunList splits a comma-separated -run/-only value into the set of
+// selected ids. Blank entries are ignored; an unknown id, or no id at
+// all, is an error naming the valid ids.
+func parseRunList(list string) (map[string]bool, error) {
+	valid := strings.Join(experimentIDs, ",")
+	want := map[string]bool{}
+	for _, r := range strings.Split(list, ",") {
+		id := strings.TrimSpace(r)
+		if id == "" {
+			continue
+		}
+		if !slices.Contains(experimentIDs, id) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", id, valid)
+		}
+		want[id] = true
+	}
+	if len(want) == 0 {
+		return nil, fmt.Errorf("no experiment selected (valid: %s)", valid)
+	}
+	return want, nil
 }
 
 // closeTrace flushes the telemetry trace before an error exit (os.Exit

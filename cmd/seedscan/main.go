@@ -555,6 +555,8 @@ func cmdHitlist(args []string) error {
 	outAliases := fs.String("aliases", "", "write the aliased-prefix list to this file")
 	fs.Parse(args)
 
+	ctx, stop := signalContext()
+	defer stop()
 	env := buildEnv(*seed, *ases, *scale, 0)
 	svc, err := hitlist.New(
 		hitlist.WithProber(env.Scanner),
@@ -568,7 +570,7 @@ func cmdHitlist(args []string) error {
 	for _, src := range seeds.AllSources {
 		inputs = append(inputs, env.Sources[src])
 	}
-	snap, err := svc.Build(inputs...)
+	snap, err := svc.BuildContext(ctx, inputs...)
 	if err != nil {
 		return err
 	}

@@ -121,10 +121,27 @@ func cmdServe(args []string) error {
 	return runServe(ctx, *addr, srv, st, interval)
 }
 
+// Listener timeouts for `seedscan serve`: a client gets serveHeaderTimeout
+// to send its request header and serveReadTimeout for the whole request
+// (bulk bodies included), and an idle keep-alive connection is closed
+// after serveIdleTimeout. Without them a client that never finishes its
+// header holds a connection open forever.
+const (
+	serveHeaderTimeout = 5 * time.Second
+	serveReadTimeout   = 30 * time.Second
+	serveIdleTimeout   = 2 * time.Minute
+)
+
 // runServe is the daemon loop behind cmdServe, split out so tests can drive
 // it with their own context and listen address.
 func runServe(ctx context.Context, addr string, handler http.Handler, st *hitlistdb.Store, watch time.Duration) error {
-	hs := &http.Server{Addr: addr, Handler: handler}
+	hs := &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: serveHeaderTimeout,
+		ReadTimeout:       serveReadTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
 
 	// The watcher's lifetime is tied to runServe itself, not the parent
 	// context: when ListenAndServe fails immediately (port in use) the

@@ -96,6 +96,67 @@ func TestRunServeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRunServeClosesStalledHeader pins the listener's header timeout: a
+// client that opens a connection and never finishes its request header is
+// disconnected once serveHeaderTimeout passes, instead of holding the
+// connection open.
+func TestRunServeClosesStalledHeader(t *testing.T) {
+	t.Parallel()
+	st, err := hitlistdb.OpenStore(filepath.Join(t.TempDir(), "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.New(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- runServe(ctx, addr, srv, st, 0) }()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("runServe exited with %v", err)
+		}
+	}()
+
+	var conn net.Conn
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		if conn, err = net.Dial("tcp", addr); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never listened: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	defer conn.Close()
+
+	// Half a request: the blank line that ends the header never comes.
+	start := time.Now()
+	if _, err := conn.Write([]byte("GET /v1/healthz HTTP/1.1\r\nHost: seedscan\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(start.Add(serveHeaderTimeout + 5*time.Second))
+	n, err := conn.Read(make([]byte, 512))
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open %v after a stalled header", time.Since(start).Round(time.Millisecond))
+	}
+	if err == nil {
+		t.Fatalf("server answered a stalled header with %d bytes", n)
+	}
+	if elapsed := time.Since(start); elapsed < serveHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, before the header timeout", elapsed)
+	}
+}
+
 // waitGeneration polls healthz until the daemon serves generation want.
 func waitGeneration(t *testing.T, base string, want uint64) {
 	t.Helper()

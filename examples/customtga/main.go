@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -84,7 +85,7 @@ func main() {
 	const budget = 10000
 
 	run := func(g tga.Generator) metrics.Outcome {
-		res, err := tga.Run(g, seeds, tga.RunConfig{
+		res, err := tga.RunContext(context.Background(), g, seeds, tga.RunConfig{
 			Budget: budget, BatchSize: 1024, Proto: proto.ICMP,
 			Prober: env.Scanner, Dealiaser: env.OutputDealiaser(proto.ICMP),
 			ExcludeSeeds: true,

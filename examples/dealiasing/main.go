@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,10 +26,11 @@ func main() {
 		env.Full.Len(), len(env.World.AliasedPrefixes()), env.Offline.Len())
 
 	const budget = 12000
+	ctx := context.Background()
 	fmt.Printf("%-10s %12s %12s %10s\n", "treatment", "hits", "aliased", "ASes")
 	for _, mode := range alias.Modes {
 		seedSet := env.DealiasedSeeds(mode).Slice()
-		res, err := env.RunTGA("6Tree", seedSet, proto.ICMP, budget)
+		res, err := env.RunTGACtx(ctx, "6Tree", seedSet, proto.ICMP, budget)
 		if err != nil {
 			log.Fatal(err)
 		}

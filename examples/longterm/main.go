@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,6 +31,7 @@ func main() {
 	seeds := samp.Hosts(3000)
 	sc := scanner.New(w.Link(), scanner.WithSecret(2))
 
+	ctx := context.Background()
 	store := addrminer.NewStore()
 	fmt.Printf("initial seeds: %d; memory: empty\n\n", len(seeds))
 
@@ -40,7 +42,7 @@ func main() {
 			w.SetEpoch(world.ScanEpoch)
 		}
 		g := addrminer.New(store)
-		res, err := tga.Run(g, seeds, tga.RunConfig{
+		res, err := tga.RunContext(ctx, g, seeds, tga.RunConfig{
 			Budget: 6000, BatchSize: 1024, Proto: proto.ICMP,
 			Prober: sc, ExcludeSeeds: true,
 		})

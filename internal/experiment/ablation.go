@@ -22,7 +22,7 @@ type OracleProber struct {
 	World *world.World
 }
 
-// Scan implements tga.Prober against ground truth.
+// Scan implements scanner.Prober against ground truth.
 func (o *OracleProber) Scan(targets []ipaddr.Addr, p proto.Protocol) []scanner.Result {
 	epoch := o.World.Epoch()
 	out := make([]scanner.Result, len(targets))
@@ -37,7 +37,7 @@ func (o *OracleProber) Scan(targets []ipaddr.Addr, p proto.Protocol) []scanner.R
 }
 
 // ScanActive mirrors scanner.Scanner's convenience method so the oracle
-// also satisfies alias.Prober.
+// also satisfies scanner.Prober.
 func (o *OracleProber) ScanActive(targets []ipaddr.Addr, p proto.Protocol) []ipaddr.Addr {
 	var hits []ipaddr.Addr
 	for _, r := range o.Scan(targets, p) {

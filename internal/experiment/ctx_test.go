@@ -75,7 +75,7 @@ func TestEnvTelemetryFlow(t *testing.T) {
 	e := NewEnv(EnvConfig{NumASes: 80, CollectScale: 0.25, Budget: 1000, Telemetry: tr})
 
 	gens := []string{"6Tree"}
-	if _, err := e.RunRQ1a([]proto.Protocol{proto.ICMP}, gens, 1000); err != nil {
+	if _, err := e.RunRQ1aCtx(context.Background(), []proto.Protocol{proto.ICMP}, gens, 1000); err != nil {
 		t.Fatal(err)
 	}
 

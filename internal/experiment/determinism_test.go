@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 
 	"seedscan/internal/proto"
@@ -15,11 +16,11 @@ func TestEndToEndDeterminism(t *testing.T) {
 	build := func() (string, string, string) {
 		e := NewEnv(cfg)
 		sum := e.DatasetSummary().Render()
-		rq1a, err := e.RunRQ1a([]proto.Protocol{proto.ICMP}, []string{"6Tree", "6Sense", "DET"}, 2000)
+		rq1a, err := e.RunRQ1aCtx(context.Background(), []proto.Protocol{proto.ICMP}, []string{"6Tree", "6Sense", "DET"}, 2000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rq4, err := e.RunRQ4([]proto.Protocol{proto.ICMP}, []string{"6Tree", "6Gen"}, 2000)
+		rq4, err := e.RunRQ4Ctx(context.Background(), []proto.Protocol{proto.ICMP}, []string{"6Tree", "6Gen"}, 2000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,11 +46,11 @@ func TestEndToEndDeterminism(t *testing.T) {
 func TestWidthEquivalence(t *testing.T) {
 	render := func(workers int) string {
 		e := NewEnv(EnvConfig{NumASes: 70, CollectScale: 0.2, Budget: 1000, Workers: workers})
-		fig3, err := e.RunRQ1a([]proto.Protocol{proto.ICMP}, all.Names, 1000)
+		fig3, err := e.RunRQ1aCtx(context.Background(), []proto.Protocol{proto.ICMP}, all.Names, 1000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t4, err := e.RunTable4(all.Names, 1000)
+		t4, err := e.RunTable4Ctx(context.Background(), all.Names, 1000)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -124,9 +124,6 @@ func OpenJSONL(path string) (*JSONLStore, error) {
 	return s, nil
 }
 
-// Path returns the backing file path.
-func (s *JSONLStore) Path() string { return s.path }
-
 // Get implements Store.
 func (s *JSONLStore) Get(key string) (CellResult, bool) {
 	s.mu.Lock()

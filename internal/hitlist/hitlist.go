@@ -30,16 +30,6 @@ import (
 	"seedscan/internal/telemetry"
 )
 
-// Prober is the scanning dependency (satisfied by *scanner.Scanner) — an
-// alias of the shared scanner.Prober definition.
-type Prober = scanner.Prober
-
-// ContextProber is the cancellable prober variant. When the configured
-// Prober also implements it (as *scanner.Scanner does), BuildContext scans
-// through it so cancellation lands mid-scan instead of only between
-// pipeline stages.
-type ContextProber = scanner.ContextProber
-
 // Snapshot is one published hitlist build.
 type Snapshot struct {
 	// BuiltAt records the build time (informational).
@@ -80,17 +70,12 @@ func New(opts ...Option) (*Service, error) {
 	return &Service{set: set}, nil
 }
 
-// Build runs the full pipeline over the given source datasets. It is the
-// context-free wrapper for BuildContext.
-func (s *Service) Build(sources ...*seeds.Dataset) (*Snapshot, error) {
-	return s.BuildContext(context.Background(), sources...)
-}
-
 // BuildContext runs the full pipeline over the given source datasets:
 // aggregate, dealias (two-tier), verify responsiveness per protocol, and
 // publish the aliased-prefix artifact. Cancelling ctx stops the build at
 // the next stage boundary (or mid-scan when the prober implements
-// ContextProber) and returns ctx's error; no partial snapshot is returned.
+// scanner.ContextProber) and returns ctx's error; no partial snapshot is
+// returned.
 //
 // Sources may be empty datasets: the result is a valid, empty snapshot.
 // Calling with no sources at all is an error — it is almost always a bug
@@ -171,7 +156,7 @@ func (s *Service) BuildContext(ctx context.Context, sources ...*seeds.Dataset) (
 // their input plan in place.
 func (s *Service) scanActive(ctx context.Context, targets []ipaddr.Addr, p proto.Protocol) ([]ipaddr.Addr, error) {
 	dup := append([]ipaddr.Addr(nil), targets...)
-	if cp, ok := s.set.prober.(ContextProber); ok {
+	if cp, ok := s.set.prober.(scanner.ContextProber); ok {
 		return cp.ScanActiveContext(ctx, dup, p)
 	}
 	return s.set.prober.ScanActive(dup, p), nil

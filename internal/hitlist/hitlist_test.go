@@ -38,7 +38,7 @@ func TestBuildRequiresSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Build(); err == nil {
+	if _, err := svc.BuildContext(context.Background()); err == nil {
 		t.Fatal("zero-source build accepted")
 	}
 }
@@ -52,7 +52,7 @@ func TestBuildEmptyInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := svc.Build(seeds.NewDataset("empty"))
+	snap, err := svc.BuildContext(context.Background(), seeds.NewDataset("empty"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestBuildPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := svc.Build(srcs[seeds.SourceHitlist], srcs[seeds.SourceAddrMiner], srcs[seeds.SourceScamper])
+	snap, err := svc.BuildContext(context.Background(), srcs[seeds.SourceHitlist], srcs[seeds.SourceAddrMiner], srcs[seeds.SourceScamper])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,39 +135,6 @@ func TestBuildPipeline(t *testing.T) {
 	}
 }
 
-// TestConfigAdapterMatchesOptions pins the deprecated NewWithConfig
-// adapter: a Config-built service must produce the identical snapshot to
-// the equivalent option-built one.
-func TestConfigAdapterMatchesOptions(t *testing.T) {
-	w, sc, srcs := buildEnv(t)
-	known := alias.NewOfflineList(w.AliasedPrefixes())
-	oldSvc, err := NewWithConfig(Config{Prober: sc, KnownAliases: known, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	newSvc, err := New(WithProber(sc), WithKnownAliases(known), WithSeed(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldSnap, err := oldSvc.Build(srcs[seeds.SourceHitlist])
-	if err != nil {
-		t.Fatal(err)
-	}
-	newSnap, err := newSvc.Build(srcs[seeds.SourceHitlist])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldSnap.Input != newSnap.Input ||
-		oldSnap.AliasedAddrs != newSnap.AliasedAddrs ||
-		oldSnap.Responsive.Len() != newSnap.Responsive.Len() ||
-		len(oldSnap.AliasedPrefixes) != len(newSnap.AliasedPrefixes) {
-		t.Fatalf("adapter diverges from options:\n old %s\n new %s", oldSnap.Summary(), newSnap.Summary())
-	}
-	if _, err := NewWithConfig(Config{}); err == nil {
-		t.Fatal("adapter accepted nil prober")
-	}
-}
-
 func TestBuildContextCancellation(t *testing.T) {
 	_, sc, srcs := buildEnv(t)
 	svc, err := New(WithProber(sc), WithSeed(1))
@@ -190,7 +157,7 @@ func TestBuildTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := svc.Build(srcs[seeds.SourceHitlist])
+	snap, err := svc.BuildContext(context.Background(), srcs[seeds.SourceHitlist])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +182,7 @@ func TestKnownAliasesSaveProbes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := svc.Build(srcs[seeds.SourceAddrMiner]); err != nil {
+		if _, err := svc.BuildContext(context.Background(), srcs[seeds.SourceAddrMiner]); err != nil {
 			t.Fatal(err)
 		}
 		return sc.Stats().PacketsSent.Load() - before
@@ -236,7 +203,7 @@ func TestStalenessAcrossEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := svc.Build(srcs[seeds.SourceHitlist], srcs[seeds.SourceRIPEAtlas])
+	snap, err := svc.BuildContext(context.Background(), srcs[seeds.SourceHitlist], srcs[seeds.SourceRIPEAtlas])
 	if err != nil {
 		t.Fatal(err)
 	}

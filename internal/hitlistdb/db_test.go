@@ -2,6 +2,7 @@ package hitlistdb
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -28,7 +29,7 @@ func buildSnapshot(t testing.TB) *hitlist.Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := svc.Build(srcs[seeds.SourceHitlist], srcs[seeds.SourceAddrMiner], srcs[seeds.SourceScamper])
+	snap, err := svc.BuildContext(context.Background(), srcs[seeds.SourceHitlist], srcs[seeds.SourceAddrMiner], srcs[seeds.SourceScamper])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,7 +132,3 @@ func (t *LPMTable) Lookup(a Addr) (uint32, bool) {
 	}
 	return 0, false
 }
-
-// NumNodes reports how many 16-entry nodes the table holds — a size gauge
-// for tests and telemetry.
-func (t *LPMTable) NumNodes() int { return len(t.nodes) / 16 }

@@ -16,15 +16,6 @@ import (
 	"seedscan/internal/world"
 )
 
-// Prober is the daemon's scanning dependency (satisfied by
-// *scanner.Scanner and *cluster.Pool) — an alias of the shared
-// scanner.Prober definition.
-type Prober = scanner.Prober
-
-// ContextProber is the cancellable prober variant; when the configured
-// Prober also implements it, epoch scans honor mid-scan cancellation.
-type ContextProber = scanner.ContextProber
-
 // Cohort is a named address set whose persistence the daemon reports per
 // epoch — e.g. the hits of a TGA run, re-checked epoch after epoch.
 // Cohort members join the scan universe.
@@ -36,9 +27,11 @@ type Cohort struct {
 // Config assembles a Daemon.
 type Config struct {
 	// World is the synthetic Internet whose epoch clock the daemon
-	// advances; Prober scans against it.
+	// advances; Prober (a *scanner.Scanner or *cluster.Pool) scans
+	// against it, honoring mid-scan cancellation when it also implements
+	// scanner.ContextProber.
 	World  *world.World
-	Prober Prober
+	Prober scanner.Prober
 	// Corpus is the initial seed universe (typically the union of seed
 	// sources, dealiased).
 	Corpus []ipaddr.Addr
@@ -222,7 +215,7 @@ func (d *Daemon) epochCell(epoch int, targets []ipaddr.Addr) grid.Cell {
 func (d *Daemon) exec(ctx context.Context, c grid.Cell) (grid.CellResult, error) {
 	targets := append([]ipaddr.Addr(nil), d.pending...) // scanners shuffle in place
 	var hits []ipaddr.Addr
-	if cp, ok := d.cfg.Prober.(ContextProber); ok {
+	if cp, ok := d.cfg.Prober.(scanner.ContextProber); ok {
 		var err error
 		hits, err = cp.ScanActiveContext(ctx, targets, d.cfg.Proto)
 		if err != nil {

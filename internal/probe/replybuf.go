@@ -79,10 +79,9 @@ func (rb *ReplyBuf) PutDNSResponse(i int, src, dst ipaddr.Addr, dstPort, txid ui
 }
 
 // PutRaw copies an already-encoded packet into the arena as packet i's
-// reply. It is the seam the wire layer uses to lift legacy links (which
-// return freshly allocated reply slices) and fault middlewares (which
-// re-index replies between an inner and an outer buffer) into the arena
-// contract. raw must not alias rb's own arena.
+// reply. It is the seam fault middlewares use to re-index replies
+// between an inner and an outer buffer under the arena contract. raw must
+// not alias rb's own arena.
 func (rb *ReplyBuf) PutRaw(i int, raw []byte) {
 	off := len(rb.arena)
 	rb.arena = append(rb.arena, raw...)

@@ -38,8 +38,8 @@ func TestScanDoesNotMutateCallerSlice(t *testing.T) {
 	}
 }
 
-// TestWithRetriesZeroProbesOnce covers the configuration the old Config
-// struct could not express: zero retries, one packet per silent target.
+// TestWithRetriesZeroProbesOnce pins that zero retries means exactly one
+// packet per silent target.
 func TestWithRetriesZeroProbesOnce(t *testing.T) {
 	w := testWorld(t)
 	w.SetEpoch(world.CollectEpoch)
@@ -59,33 +59,6 @@ func TestWithRetriesZeroProbesOnce(t *testing.T) {
 		t.Fatalf("packets = %d, want %d", got, len(targets))
 	}
 }
-
-// TestConfigAdapterKeepsDefaults pins the deprecated NewWithConfig
-// behavior: zero values still mean §4.2 defaults.
-func TestConfigAdapterKeepsDefaults(t *testing.T) {
-	w := testWorld(t)
-	w.SetEpoch(world.CollectEpoch)
-	var targets []ipaddr.Addr
-	base := ipaddr.MustParse("3fff::")
-	for i := 0; i < 10; i++ {
-		targets = append(targets, base.AddLo(uint64(i)))
-	}
-	// A legacy single-packet link, so the adapter also covers the
-	// wire.Promote lift NewWithConfig performs.
-	s := NewWithConfig(packetWorldLink{w}, Config{Secret: 5})
-	res := s.Scan(targets, proto.ICMP)
-	for _, r := range res {
-		if r.Attempts != 3 {
-			t.Fatalf("attempts = %d, want 3 (2 retries)", r.Attempts)
-		}
-	}
-}
-
-// packetWorldLink answers through the world one packet at a time — the
-// first-generation link shape, kept to exercise the wire.Promote lift.
-type packetWorldLink struct{ w *world.World }
-
-func (l packetWorldLink) Exchange(pkt []byte) [][]byte { return l.w.HandlePacket(pkt) }
 
 // slowLink delays each exchange until released, so a scan can be caught
 // mid-flight deterministically.

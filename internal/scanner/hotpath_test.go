@@ -8,16 +8,8 @@ import (
 	"seedscan/internal/ipaddr"
 	"seedscan/internal/proto"
 	"seedscan/internal/telemetry"
-	"seedscan/internal/wire"
 	"seedscan/internal/world"
 )
-
-// exchangeOnly answers through the world one packet at a time — the
-// first-generation link shape, so tests can pin the wire.Promote lift of
-// a per-packet link against the canonical arena-batched path.
-type exchangeOnly struct{ w *world.World }
-
-func (e exchangeOnly) Exchange(pkt []byte) [][]byte { return e.w.HandlePacket(pkt) }
 
 // statsEqual compares two merged snapshots field by field.
 func statsEqual(t *testing.T, got, want *Stats) {
@@ -42,9 +34,9 @@ func statsEqual(t *testing.T, got, want *Stats) {
 }
 
 // TestBatchedMatchesUnbatched pins the semantics-preserving claim behind
-// wire.Promote: scanning through a promoted per-packet legacy link must
-// produce results and counters byte-identical to the canonical
-// arena-batched exchange, for every protocol.
+// chunked exchange: scanning one probe per exchange must produce results,
+// counters and virtual clock identical to the default batched chunk, for
+// every protocol, with loss on.
 func TestBatchedMatchesUnbatched(t *testing.T) {
 	w := world.New(world.Config{Seed: 42, NumASes: 60, LossRate: 0.1})
 	w.SetEpoch(world.CollectEpoch)
@@ -53,7 +45,7 @@ func TestBatchedMatchesUnbatched(t *testing.T) {
 
 	for _, p := range proto.All {
 		batched := New(w.Link(), WithSecret(33))
-		unbatched := New(wire.Promote(exchangeOnly{w}), WithSecret(33))
+		unbatched := New(w.Link(), WithSecret(33), WithProbeChunk(1))
 		rb := batched.Scan(targets, p)
 		ru := unbatched.Scan(targets, p)
 		if len(rb) != len(ru) {
@@ -149,29 +141,6 @@ func TestConcurrentScansSharedScanner(t *testing.T) {
 	}
 }
 
-// batchSlowLink gates the first ExchangeBatch so a batched scan can be
-// cancelled deterministically mid-flight. It keeps the second-generation
-// BatchLink shape, so the cancellation test also rides through the
-// wire.Promote batch adapter.
-type batchSlowLink struct {
-	w       *world.World
-	started chan struct{}
-	release chan struct{}
-	once    sync.Once
-}
-
-func (l *batchSlowLink) Exchange(pkt []byte) [][]byte { return l.w.HandlePacket(pkt) }
-
-func (l *batchSlowLink) ExchangeBatch(pkts [][]byte) [][][]byte {
-	l.once.Do(func() { close(l.started) })
-	<-l.release
-	replies := make([][][]byte, len(pkts))
-	for i, pkt := range pkts {
-		replies[i] = l.w.HandlePacket(pkt)
-	}
-	return replies
-}
-
 // TestBatchedCancelReturnsProbedPrefix pins the partial-results invariant
 // for the chunked claim loop: on cancellation the returned slice is
 // exactly the fully-probed claimed prefix, in scan order.
@@ -183,10 +152,10 @@ func TestBatchedCancelReturnsProbedPrefix(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		targets = append(targets, base.AddLo(uint64(i)))
 	}
-	link := &batchSlowLink{w: w, started: make(chan struct{}), release: make(chan struct{})}
+	link := &slowLink{inner: w.Link(), started: make(chan struct{}), release: make(chan struct{})}
 	// WithoutShuffle so scan order == deduped input order and the prefix
 	// can be checked against the caller's slice.
-	s := New(wire.Promote(link), WithSecret(5), WithWorkers(2), WithoutShuffle())
+	s := New(link, WithSecret(5), WithWorkers(2), WithoutShuffle())
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})

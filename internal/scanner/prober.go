@@ -8,10 +8,8 @@ import (
 )
 
 // Prober is the shared scanning surface the rest of the stack probes
-// through — one definition instead of the four structurally identical
-// copies that tga, hitlist, alias, and longitudinal used to carry (those
-// packages keep aliases for compatibility). *Scanner implements it, as
-// does a cluster pool; tests substitute oracles.
+// through: tga, hitlist, alias and longitudinal all take it. *Scanner
+// implements it, as does a cluster pool; tests substitute oracles.
 //
 // Scan returns one classified Result per unique target; ScanActive is the
 // hit-addresses-only convenience most consumers want.

@@ -107,31 +107,6 @@ func (d *Dataset) OverlapFraction(others ...*Dataset) float64 {
 	return float64(n) / float64(d.Len())
 }
 
-// ASOverlapFraction returns the fraction of d's ASes also seen by any
-// other dataset.
-func (d *Dataset) ASOverlapFraction(db *asdb.DB, others ...*Dataset) float64 {
-	mine := db.ASSet(d.Addrs.Slice())
-	if len(mine) == 0 {
-		return 0
-	}
-	theirs := make(map[int]struct{})
-	for _, o := range others {
-		if o == d {
-			continue
-		}
-		for asn := range db.ASSet(o.Addrs.Slice()) {
-			theirs[asn] = struct{}{}
-		}
-	}
-	n := 0
-	for asn := range mine {
-		if _, ok := theirs[asn]; ok {
-			n++
-		}
-	}
-	return float64(n) / float64(len(mine))
-}
-
 // UnionAll merges datasets into one.
 func UnionAll(name string, ds ...*Dataset) *Dataset {
 	out := NewDataset(name)

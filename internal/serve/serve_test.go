@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -32,7 +33,7 @@ func startServer(t *testing.T, opts ...Option) (*httptest.Server, *hitlist.Snaps
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := svc.Build(srcs[seeds.SourceHitlist], srcs[seeds.SourceAddrMiner])
+	snap, err := svc.BuildContext(context.Background(), srcs[seeds.SourceHitlist], srcs[seeds.SourceAddrMiner])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,8 @@ func NewContext(ctx context.Context, t *Tracer) context.Context {
 }
 
 // EnsureContext attaches t only when ctx does not already carry a tracer —
-// callers that accept an external context keep the caller's wiring, while
-// context-free wrappers still get their component's default tracer.
+// callers that pass their own tracer keep it, while callers with a bare
+// context still get their component's default tracer.
 func EnsureContext(ctx context.Context, t *Tracer) context.Context {
 	if FromContext(ctx) != nil {
 		return ctx

@@ -1,6 +1,7 @@
 package addrminer
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestMemoryAccumulatesAcrossRuns(t *testing.T) {
 
 	run := func() int {
 		g := New(store)
-		res, err := tga.Run(g, seeds, tga.RunConfig{
+		res, err := tga.RunContext(context.Background(), g, seeds, tga.RunConfig{
 			Budget: 2500, BatchSize: 512, Proto: proto.ICMP,
 			Prober: sc, ExcludeSeeds: true,
 		})
@@ -65,7 +66,7 @@ func TestMemorySeedsSecondRun(t *testing.T) {
 	_, sc, seeds := setup(t)
 	store := NewStore()
 	g := New(store)
-	if _, err := tga.Run(g, seeds, tga.RunConfig{
+	if _, err := tga.RunContext(context.Background(), g, seeds, tga.RunConfig{
 		Budget: 2500, BatchSize: 512, Proto: proto.ICMP, Prober: sc, ExcludeSeeds: true,
 	}); err != nil {
 		t.Fatal(err)
@@ -74,7 +75,7 @@ func TestMemorySeedsSecondRun(t *testing.T) {
 		t.Skip("no hits to remember in this configuration")
 	}
 	g2 := New(store)
-	res, err := tga.Run(g2, nil, tga.RunConfig{
+	res, err := tga.RunContext(context.Background(), g2, nil, tga.RunConfig{
 		Budget: 1500, BatchSize: 512, Proto: proto.ICMP, Prober: sc,
 	})
 	if err != nil {

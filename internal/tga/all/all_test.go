@@ -4,6 +4,7 @@
 package all_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -69,7 +70,7 @@ func TestAllGeneratorsReachBudget(t *testing.T) {
 	const budget = 3000
 	for _, name := range append(append([]string(nil), all.Names...), "6Prob") {
 		g := all.MustNew(name)
-		res, err := tga.Run(g, seeds, tga.RunConfig{
+		res, err := tga.RunContext(context.Background(), g, seeds, tga.RunConfig{
 			Budget: budget, BatchSize: 512, Proto: proto.ICMP,
 			Prober: sc, ExcludeSeeds: true,
 		})
@@ -118,7 +119,7 @@ func TestGeneratorsBeatRandomBaseline(t *testing.T) {
 
 	for _, name := range []string{"6Sense", "DET", "6Tree", "6Scan", "6Graph", "6Gen", "6Hit"} {
 		g := all.MustNew(name)
-		res, err := tga.Run(g, seeds, tga.RunConfig{
+		res, err := tga.RunContext(context.Background(), g, seeds, tga.RunConfig{
 			Budget: budget, BatchSize: 512, Proto: proto.ICMP,
 			Prober: sc, ExcludeSeeds: true,
 		})
@@ -139,12 +140,12 @@ func TestOnlineAdaptationHelpsDET(t *testing.T) {
 
 	run := func(withFeedback bool) int {
 		g := all.MustNew("DET")
-		var prober tga.Prober = sc
+		var prober scanner.Prober = sc
 		cfg := tga.RunConfig{Budget: budget, BatchSize: 512, Proto: proto.ICMP, Prober: prober, ExcludeSeeds: true}
 		if !withFeedback {
 			cfg.Prober = &silentProber{inner: sc}
 		}
-		res, err := tga.Run(g, seeds, cfg)
+		res, err := tga.RunContext(context.Background(), g, seeds, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +190,7 @@ func TestSixSenseAvoidsAliases(t *testing.T) {
 
 	runOne := func(name string) (aliased, hits int) {
 		g := all.MustNew(name)
-		res, err := tga.Run(g, seeds, tga.RunConfig{
+		res, err := tga.RunContext(context.Background(), g, seeds, tga.RunConfig{
 			Budget: budget, BatchSize: 512, Proto: proto.ICMP,
 			Prober: sc, Dealiaser: dealiaser, ExcludeSeeds: true,
 		})
@@ -213,7 +214,7 @@ func TestSixSenseBlacklistGrows(t *testing.T) {
 	seeds := append(samp.Hosts(500), aliasSamp.Aliased(500)...)
 	g := sixsense.New()
 	dealiaser := alias.New(alias.ModeOnline, nil, sc, proto.ICMP, 78)
-	_, err := tga.Run(g, seeds, tga.RunConfig{
+	_, err := tga.RunContext(context.Background(), g, seeds, tga.RunConfig{
 		Budget: 3000, BatchSize: 512, Proto: proto.ICMP,
 		Prober: sc, Dealiaser: dealiaser, ExcludeSeeds: true,
 	})
@@ -228,11 +229,11 @@ func TestSixSenseBlacklistGrows(t *testing.T) {
 func TestGeneratorsDeterministic(t *testing.T) {
 	_, _, seeds := setup(t)
 	for _, name := range append(append([]string(nil), all.Names...), "6Prob") {
-		a, err := tga.Generate(all.MustNew(name), seeds, 1000)
+		a, err := tga.GenerateContext(context.Background(), all.MustNew(name), seeds, tga.GenerateConfig{Budget: 1000})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		b, err := tga.Generate(all.MustNew(name), seeds, 1000)
+		b, err := tga.GenerateContext(context.Background(), all.MustNew(name), seeds, tga.GenerateConfig{Budget: 1000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +252,7 @@ func TestGeneratedAddressesStayNearSeeds(t *testing.T) {
 		seedPrefixes[s.Hi()>>32] = true
 	}
 	for _, name := range []string{"6Tree", "6Graph", "6Gen", "6Sense", "DET"} {
-		got, err := tga.Generate(all.MustNew(name), seeds, 2000)
+		got, err := tga.GenerateContext(context.Background(), all.MustNew(name), seeds, tga.GenerateConfig{Budget: 2000})
 		if err != nil {
 			t.Fatal(err)
 		}

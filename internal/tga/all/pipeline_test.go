@@ -58,13 +58,13 @@ func TestPipelineMatchesSerial(t *testing.T) {
 		}
 		cfg.Dealiaser = alias.New(alias.ModeOnline, nil, sc, proto.ICMP, 91)
 		cfg.Serial = true
-		serial, err := tga.Run(all.MustNew(name), seeds, cfg)
+		serial, err := tga.RunContext(context.Background(), all.MustNew(name), seeds, cfg)
 		if err != nil {
 			t.Fatalf("%s serial: %v", name, err)
 		}
 		cfg.Dealiaser = alias.New(alias.ModeOnline, nil, sc, proto.ICMP, 91)
 		cfg.Serial = false
-		piped, err := tga.Run(all.MustNew(name), seeds, cfg)
+		piped, err := tga.RunContext(context.Background(), all.MustNew(name), seeds, cfg)
 		if err != nil {
 			t.Fatalf("%s pipelined: %v", name, err)
 		}
@@ -86,14 +86,14 @@ func TestPipelineWithModelCacheMatchesSerial(t *testing.T) {
 			Budget: budget, BatchSize: 512, Proto: proto.ICMP,
 			Prober: sc, ExcludeSeeds: true, Serial: true,
 		}
-		serial, err := tga.Run(all.MustNew(name), seeds, cfg)
+		serial, err := tga.RunContext(context.Background(), all.MustNew(name), seeds, cfg)
 		if err != nil {
 			t.Fatalf("%s serial: %v", name, err)
 		}
 		cfg.Serial = false
 		cfg.Models = cache
 		for run := 0; run < 2; run++ {
-			res, err := tga.Run(all.MustNew(name), seeds, cfg)
+			res, err := tga.RunContext(context.Background(), all.MustNew(name), seeds, cfg)
 			if err != nil {
 				t.Fatalf("%s cached run %d: %v", name, run, err)
 			}
@@ -121,7 +121,7 @@ func TestModelCacheSharedAcrossProtocols(t *testing.T) {
 			Budget: 1000, BatchSize: 512, Proto: p,
 			Prober: sc, ExcludeSeeds: true, Models: cache,
 		}
-		if _, err := tga.Run(all.MustNew("6Tree"), seeds, cfg); err != nil {
+		if _, err := tga.RunContext(context.Background(), all.MustNew("6Tree"), seeds, cfg); err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
 	}
@@ -194,15 +194,15 @@ func TestSharedTreeAdoptionMatchesOwnInit(t *testing.T) {
 	}
 	shared := own
 	shared.Models = cache
-	if _, err := tga.Run(all.MustNew("6Tree"), seeds, shared); err != nil {
+	if _, err := tga.RunContext(context.Background(), all.MustNew("6Tree"), seeds, shared); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"6Scan", "6Hit"} {
-		want, err := tga.Run(all.MustNew(name), seeds, own)
+		want, err := tga.RunContext(context.Background(), all.MustNew(name), seeds, own)
 		if err != nil {
 			t.Fatalf("%s own Init: %v", name, err)
 		}
-		got, err := tga.Run(all.MustNew(name), seeds, shared)
+		got, err := tga.RunContext(context.Background(), all.MustNew(name), seeds, shared)
 		if err != nil {
 			t.Fatalf("%s adopted: %v", name, err)
 		}
@@ -227,11 +227,11 @@ func TestTreeTGAsIgnoreDuplicateSeeds(t *testing.T) {
 		Prober: sc, ExcludeSeeds: true,
 	}
 	for _, name := range []string{"6Tree", "6Scan"} {
-		want, err := tga.Run(all.MustNew(name), seeds, cfg)
+		want, err := tga.RunContext(context.Background(), all.MustNew(name), seeds, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, err := tga.Run(all.MustNew(name), dups, cfg)
+		got, err := tga.RunContext(context.Background(), all.MustNew(name), dups, cfg)
 		if err != nil {
 			t.Fatalf("%s with duplicates: %v", name, err)
 		}

@@ -66,16 +66,6 @@ type Generator interface {
 	Feedback(results []ProbeResult)
 }
 
-// Prober abstracts the scanner for the driver — an alias of the shared
-// scanner.Prober, one definition for the whole stack instead of a local
-// copy per consumer.
-type Prober = scanner.Prober
-
-// ContextProber is the cancellable prober surface. When a RunConfig's
-// Prober also implements it (as *scanner.Scanner does), the driver routes
-// scans through ScanContext so an in-flight scan stops with the run.
-type ContextProber = scanner.ContextProber
-
 // Dealiaser abstracts output dealiasing for the driver.
 type Dealiaser interface {
 	Split(addrs []ipaddr.Addr) (clean, aliased []ipaddr.Addr)
@@ -91,7 +81,7 @@ type RunConfig struct {
 	// Proto selects the probe type.
 	Proto proto.Protocol
 	// Prober runs the scans (nil: generation-only run, no feedback).
-	Prober Prober
+	Prober scanner.Prober
 	// Dealiaser classifies active outputs (nil: nothing flagged aliased).
 	Dealiaser Dealiaser
 	// ExcludeSeeds removes seed addresses from the generated set, so the
@@ -132,21 +122,11 @@ type RunResult struct {
 	Candidates []ipaddr.Addr
 }
 
-// HitSet returns the hits as a set.
-func (r *RunResult) HitSet() *ipaddr.Set { return ipaddr.NewSet(r.Hits...) }
-
 // maxIdleRounds is how many consecutive batches may propose nothing new
 // before the driver declares the generator exhausted. Generators that loop
 // over already-produced addresses (a converged online model, a small
 // pattern space) would otherwise spin forever.
 const maxIdleRounds = 64
-
-// Run drives g: Init with seeds, then batches of generate→scan→feedback
-// until the budget is reached or the generator is exhausted. It is
-// RunContext with a background context.
-func Run(g Generator, seeds []ipaddr.Addr, cfg RunConfig) (*RunResult, error) {
-	return RunContext(context.Background(), g, seeds, cfg)
-}
 
 // RunContext drives g under ctx: Init with seeds, then batches of
 // generate→scan→feedback until the budget is reached, the generator is
@@ -481,8 +461,8 @@ func (d *driver) runPipelined(ctx context.Context) error {
 
 // scanBatch routes one batch through the prober, using the cancellable
 // surface when available.
-func scanBatch(ctx context.Context, p Prober, targets []ipaddr.Addr, pr proto.Protocol) ([]scanner.Result, error) {
-	if cp, ok := p.(ContextProber); ok {
+func scanBatch(ctx context.Context, p scanner.Prober, targets []ipaddr.Addr, pr proto.Protocol) ([]scanner.Result, error) {
+	if cp, ok := p.(scanner.ContextProber); ok {
 		return cp.ScanContext(ctx, targets, pr)
 	}
 	return p.Scan(targets, pr), nil
@@ -499,13 +479,6 @@ func CanonicalSeeds(seeds []ipaddr.Addr) []ipaddr.Addr {
 	out := append([]ipaddr.Addr(nil), seeds...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
-}
-
-// Generate runs g without scanning and returns up to budget unique
-// candidates in generation order — useful for offline analysis and tests.
-// It is GenerateContext with a background context and no exclusions.
-func Generate(g Generator, seeds []ipaddr.Addr, budget int) ([]ipaddr.Addr, error) {
-	return GenerateContext(context.Background(), g, seeds, GenerateConfig{Budget: budget})
 }
 
 // GenerateConfig parameterizes a generation-only run.

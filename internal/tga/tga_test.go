@@ -1,6 +1,7 @@
 package tga
 
 import (
+	"context"
 	"testing"
 
 	"seedscan/internal/ipaddr"
@@ -214,7 +215,7 @@ func TestRunBudgetAndDedup(t *testing.T) {
 	}
 	g := &staticGen{addrs: addrs}
 	pr := &nullProber{}
-	res, err := Run(g, nil, RunConfig{Budget: 40, BatchSize: 16, Prober: pr})
+	res, err := RunContext(context.Background(), g, nil, RunConfig{Budget: 40, BatchSize: 16, Prober: pr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestRunBudgetAndDedup(t *testing.T) {
 
 func TestRunExhaustion(t *testing.T) {
 	g := &staticGen{addrs: seedsFrom("::1", "::2")}
-	res, err := Run(g, nil, RunConfig{Budget: 100, Prober: &nullProber{}})
+	res, err := RunContext(context.Background(), g, nil, RunConfig{Budget: 100, Prober: &nullProber{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestRunExhaustion(t *testing.T) {
 func TestRunExcludesSeeds(t *testing.T) {
 	seeds := seedsFrom("::1", "::2")
 	g := &staticGen{addrs: seedsFrom("::1", "::2", "::3")}
-	res, err := Run(g, seeds, RunConfig{Budget: 10, Prober: &nullProber{}, ExcludeSeeds: true})
+	res, err := RunContext(context.Background(), g, seeds, RunConfig{Budget: 10, Prober: &nullProber{}, ExcludeSeeds: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestRunExcludesSeeds(t *testing.T) {
 }
 
 func TestRunRejectsBadBudget(t *testing.T) {
-	if _, err := Run(&staticGen{}, nil, RunConfig{}); err == nil {
+	if _, err := RunContext(context.Background(), &staticGen{}, nil, RunConfig{}); err == nil {
 		t.Fatal("zero budget accepted")
 	}
 }
@@ -281,7 +282,7 @@ func (g *dupPrefixGen) NextBatch(n int) []ipaddr.Addr {
 func TestGenerateFullBatchAvoidsStarvation(t *testing.T) {
 	// Enumeration head repeats the first address; 6 unique total.
 	seq := seedsFrom("::1", "::1", "::2", "::3", "::4", "::5", "::6")
-	got, err := Generate(&dupPrefixGen{seq: seq}, nil, 5)
+	got, err := GenerateContext(context.Background(), &dupPrefixGen{seq: seq}, nil, GenerateConfig{Budget: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +306,7 @@ func TestGenerateStopsAtBudget(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		seq = append(seq, base.AddLo(uint64(i)))
 	}
-	got, err := Generate(&dupPrefixGen{seq: seq}, nil, 123)
+	got, err := GenerateContext(context.Background(), &dupPrefixGen{seq: seq}, nil, GenerateConfig{Budget: 123})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func TestHandleBatchMatchesHandlePacket(t *testing.T) {
 		}
 		replies := 0
 		for i, pkt := range pkts {
-			want := w.HandlePacket(pkt)
+			want := handlePacket(w, pkt)
 			got := rb.Reply(i)
 			switch {
 			case len(want) == 0:
